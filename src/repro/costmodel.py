@@ -16,7 +16,7 @@ using cardinality estimates from :mod:`repro.logical.cardinality`.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 #: Relative unit costs (dimensionless; only ratios matter). A hash insert /
 #: probe costs a couple of sequential-scan touches while the table is
@@ -77,7 +77,7 @@ def choose_distinct_strategy(
 
 
 # ----------------------------------------------------------------------
-# Whole-DAG costing (rewrite-event provenance)
+# Per-node costing (summed over a DAG by repro.lolepop.verify.propagate)
 # ----------------------------------------------------------------------
 
 #: Row count assumed for a node without a cardinality estimate. The
@@ -111,36 +111,3 @@ def node_cost(name: str, rows: float, input_rows: Optional[float] = None) -> flo
     # SOURCE / SCAN / MERGE / COMBINE and cached-buffer substitutes: one
     # sequential touch per row moved.
     return SCAN_COST_PER_ROW * rows
-
-
-def dag_cost(
-    dag,
-    row_estimates: Optional[Dict[int, Optional[float]]] = None,
-    default_rows: float = DEFAULT_COST_ROWS,
-) -> float:
-    """Estimated total cost of a LOLEPOP DAG: the sum of per-node unit
-    costs over the topological order.
-
-    ``row_estimates`` maps ``id(node)`` to estimated output rows (the shape
-    :func:`repro.observability.analyze.estimate_dag_rows` returns); missing
-    or ``None`` estimates fall back to ``default_rows``. This is the price
-    tag :class:`~repro.observability.provenance.RewriteEvent` records
-    before/after each optimizer pass — a *relative* measure for attributing
-    plan-cost movement to rewrites, not a latency prediction.
-    """
-    estimates = row_estimates or {}
-
-    def rows_of(node) -> float:
-        value = estimates.get(id(node))
-        return default_rows if value is None else max(1.0, float(value))
-
-    total = 0.0
-    for node in dag.topological_order():
-        inputs = getattr(node, "inputs", ())
-        input_rows = rows_of(inputs[0]) if inputs else None
-        try:
-            name = node.name()
-        except Exception:  # noqa: BLE001 — unregistered test doubles
-            name = type(node).__name__
-        total += node_cost(name, rows_of(node), input_rows)
-    return total

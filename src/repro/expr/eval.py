@@ -14,6 +14,7 @@ Semantics implemented here (and mirrored exactly by both evaluators):
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Any, Dict, Optional, Sequence, Set
 
@@ -261,14 +262,12 @@ def _eval_null_aware(name: str, args: Sequence[Column], result_type: DataType) -
     raise ExecutionError(f"unknown null-aware function {name!r}")
 
 
-_LIKE_CACHE: Dict[str, "re.Pattern"] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _like_regex(pattern: str) -> "re.Pattern":
-    if pattern not in _LIKE_CACHE:
-        regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-        _LIKE_CACHE[pattern] = re.compile(f"^{regex}$", re.DOTALL)
-    return _LIKE_CACHE[pattern]
+    """Compiled regex for a LIKE pattern; bounded so a long-running service
+    that sees many distinct patterns keeps constant memory."""
+    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
+    return re.compile(f"^{regex}$", re.DOTALL)
 
 
 def _eval_binary(expr: BinaryOp, batch: Batch) -> Column:

@@ -13,12 +13,25 @@ nodes in a topological order over both data and ordering edges.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import ExecutionError, PlanError
 from ..execution.context import ExecutionContext
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
+
+if TYPE_CHECKING:
+    from ..logical import LogicalPlan
 
 OpResult = Union[List[Batch], TupleBuffer]
 
@@ -104,6 +117,65 @@ class SourceOp(Lolepop):
         self._thunk = lambda: source(plan)
 
 
+@dataclass(frozen=True)
+class RewriteEvent:
+    """One recorded plan-rewrite decision on a :attr:`Dag.rewrites` log:
+    an optimizer pass that fired, a translator buffer-reuse substitution,
+    or a cost-based strategy pick.
+
+    - ``text`` — display text (``"elide_redundant_sorts x2"``,
+      ``"buffer-reuse: ..."``);
+    - ``pass_name`` — the pass / decision family that fired;
+    - ``detail`` — free-text qualifier (counts, reuse-spec summary);
+    - ``nodes`` — ``"#3 SORT [k ASC]"``-style names of the DAG nodes the
+      rewrite touched (removed, substituted, or rewired), possibly empty;
+    - ``cost_before`` / ``cost_after`` — estimated whole-DAG cost (the sum
+      of :func:`repro.costmodel.node_cost` over the DAG) around the
+      rewrite, ``None`` for construction-time decisions where the "before"
+      DAG never existed.
+    """
+
+    text: str
+    pass_name: str
+    detail: str = ""
+    nodes: Tuple[str, ...] = ()
+    cost_before: Optional[float] = None
+    cost_after: Optional[float] = None
+
+    @property
+    def cost_delta(self) -> Optional[float]:
+        """``cost_after - cost_before`` (negative = the rewrite made the
+        plan cheaper), or ``None`` when either side is unknown."""
+        if self.cost_before is None or self.cost_after is None:
+            return None
+        return self.cost_after - self.cost_before
+
+    def to_dict(self) -> dict:
+        out: dict = {"text": self.text, "pass": self.pass_name}
+        if self.detail:
+            out["detail"] = self.detail
+        if self.nodes:
+            out["nodes"] = list(self.nodes)
+        if self.cost_before is not None:
+            out["cost_before"] = self.cost_before
+        if self.cost_after is not None:
+            out["cost_after"] = self.cost_after
+        delta = self.cost_delta
+        if delta is not None:
+            out["cost_delta"] = delta
+        return out
+
+    def render_cost(self) -> str:
+        """``"Δcost -12345 (67890 -> 55545)"`` or ``""`` without costs."""
+        delta = self.cost_delta
+        if delta is None:
+            return ""
+        return (
+            f"Δcost {delta:+.0f} "
+            f"({self.cost_before:.0f} -> {self.cost_after:.0f})"
+        )
+
+
 class Dag:
     """An executable DAG of LOLEPOPs with one sink."""
 
@@ -111,35 +183,27 @@ class Dag:
         self.nodes: List[Lolepop] = []
         self.sink: Optional[Lolepop] = None
         #: Rewrite log: which optimizer passes / translator reuse decisions
-        #: fired while building this DAG. Entries are
-        #: :class:`~repro.observability.provenance.RewriteEvent` records
-        #: (``str`` subclasses, so string consumers keep working) appended
-        #: via :meth:`record_rewrite` — never bare strings (lint rule R5).
-        self.rewrites: List[str] = []
+        #: fired while building this DAG, appended via :meth:`record_rewrite`.
+        self.rewrites: List[RewriteEvent] = []
         #: The statistics-region logical plan this DAG implements, when
         #: known — EXPLAIN ANALYZE uses it for cardinality estimates.
-        self.region_plan = None
+        self.region_plan: Optional["LogicalPlan"] = None
 
     def record_rewrite(
         self,
         text: str,
-        pass_name: Optional[str] = None,
+        pass_name: str,
         detail: str = "",
         nodes: Sequence[str] = (),
         cost_before: Optional[float] = None,
         cost_after: Optional[float] = None,
-    ):
-        """Append one structured
-        :class:`~repro.observability.provenance.RewriteEvent` to the
-        rewrite log and return it. The single sanctioned append path —
-        ``tools/lint_engine.py`` rule R5 flags direct string appends."""
-        from ..observability.provenance import RewriteEvent
-
+    ) -> RewriteEvent:
+        """Append one :class:`RewriteEvent` to the rewrite log and return it."""
         event = RewriteEvent(
             text,
-            pass_name=pass_name,
+            pass_name,
             detail=detail,
-            nodes=nodes,
+            nodes=tuple(nodes),
             cost_before=cost_before,
             cost_after=cost_after,
         )

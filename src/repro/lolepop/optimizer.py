@@ -4,172 +4,103 @@ Several of the paper's step-E decisions are made during construction
 (buffer reuse, aggregation-strategy selection, producer ordering via
 ``after`` edges) or at runtime (sort elision when the buffer's ordering
 already has the required prefix; sort-mode selection by tuple width). The
-passes here operate on the built DAG:
+passes here operate on the built DAG and read one
+:func:`~repro.lolepop.verify.propagate` walk:
 
-- :func:`remove_redundant_combines` — a join-mode COMBINE with a single
+- ``elide_redundant_sorts`` — a SORT whose buffer already carries the
+  required ordering as a prefix is removed statically (the MSSD plan's
+  group-key sort, Figure 3 plan 5). The walk treats such a SORT as the
+  identity, so it finds cascades too. A runtime check in SortOp covers
+  anything this static pass cannot prove.
+- ``remove_redundant_combines`` — a join-mode COMBINE with a single
   producer is the identity and is spliced out (Figure 1's COMBINE(d,c)).
-- :func:`elide_redundant_sorts` — a SORT whose buffer already carries the
-  required ordering as a prefix is removed statically, simulating buffer
-  state along the DAG's execution order (the MSSD plan's group-key sort,
-  Figure 3 plan 5). A runtime check in SortOp covers anything this static
-  pass cannot prove.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from ..execution.context import EngineConfig
-from .base import Dag, Lolepop
+from .base import Dag
 from .combine_op import CombineOp
-from .partition_op import PartitionOp
-from .sort_op import SortOp
-from .window_op import WindowOp
+from .verify import NodeFacts, propagate, verify_dag
 
 
 def optimize(dag: Dag, config: EngineConfig, estimator=None) -> None:
     """Run all enabled passes in place; record each fired pass in
-    ``dag.rewrites`` as a structured
-    :class:`~repro.observability.provenance.RewriteEvent` — pass name, the
-    names of the nodes it removed, and the estimated whole-DAG cost
-    before/after (:func:`repro.costmodel.dag_cost`) — so EXPLAIN ANALYZE
-    and ``tools/plan_diff.py`` can attribute plan-cost movement to the
-    step-E decision that caused it.
+    ``dag.rewrites`` as a :class:`~repro.lolepop.base.RewriteEvent` — pass
+    name, the names of the nodes it removed, and the estimated whole-DAG
+    cost before/after — so EXPLAIN ANALYZE and ``tools/plan_diff.py`` can
+    attribute plan-cost movement to the step-E decision that caused it.
 
     ``estimator`` is an optional
     :class:`~repro.logical.cardinality.CardinalityEstimator`; with one the
     cost is priced from per-node cardinality estimates, without one every
     node is priced at the neutral default row count (deltas remain
-    meaningful: a removed SORT still subtracts its term).
+    meaningful: a removed SORT still subtracts its term). Both passes
+    remove nodes that pass their input rows through, so the cost after a
+    pass is the cost before minus the removed nodes' own costs.
 
     Under ``verify_plans="strict"`` the DAG is re-verified after every
     pass that fired, so a plan-breaking rewrite is attributed to the pass
     (via the entry it just appended to ``dag.rewrites``) instead of
     surfacing as a confusing post-translation failure.
     """
-    cost = _estimated_cost(dag, estimator)
+    facts = propagate(dag, estimator)
+    cost = facts.total_cost
+    removed: List[int] = []
     if config.elide_sorts:
-        removed = elide_redundant_sorts(dag)
-        if removed:
-            after = _estimated_cost(dag, estimator)
-            dag.record_rewrite(
-                f"elide_redundant_sorts x{len(removed)}",
-                pass_name="elide_redundant_sorts",
-                detail=f"x{len(removed)}",
-                nodes=removed,
-                cost_before=cost,
-                cost_after=after,
-            )
-            cost = after
-            _verify_after_pass(dag, config)
+        sorts = [entry for entry in facts.nodes.values() if entry.redundant]
+        cost = _splice(dag, config, "elide_redundant_sorts", sorts, removed, cost)
     if config.remove_redundant_combines:
-        removed = remove_redundant_combines(dag)
-        if removed:
-            after = _estimated_cost(dag, estimator)
-            dag.record_rewrite(
-                f"remove_redundant_combines x{len(removed)}",
-                pass_name="remove_redundant_combines",
-                detail=f"x{len(removed)}",
-                nodes=removed,
-                cost_before=cost,
-                cost_after=after,
-            )
-            cost = after
-            _verify_after_pass(dag, config)
+        combines = [
+            entry
+            for entry in facts.nodes.values()
+            if isinstance(entry.node, CombineOp)
+            and entry.node.mode == "join"
+            and len(entry.node.inputs) == 1
+        ]
+        _splice(dag, config, "remove_redundant_combines", combines, removed, cost)
 
 
-def _estimated_cost(dag: Dag, estimator) -> float:
-    """Whole-DAG cost, using cardinality estimates when an estimator is
-    available (falling back silently: costing must never fail a query)."""
-    from ..costmodel import dag_cost
-
-    estimates = None
-    if estimator is not None:
-        try:
-            from ..observability.analyze import estimate_dag_rows
-
-            estimates = estimate_dag_rows(dag, estimator)
-        except Exception:  # noqa: BLE001 — estimation is best-effort
-            estimates = None
-    return dag_cost(dag, estimates)
-
-
-def _node_label(dag: Dag, node: Lolepop) -> str:
-    """``"#3 SORT [k ASC]"``-style name for rewrite-event provenance."""
-    try:
-        index = dag.topological_order().index(node)
-        prefix = f"#{index} "
-    except Exception:  # noqa: BLE001 — node mid-splice / cyclic dag
-        prefix = ""
-    describe = node.describe()
-    return f"{prefix}{node.name()}" + (f" [{describe}]" if describe else "")
-
-
-def _verify_after_pass(dag: Dag, config: EngineConfig) -> None:
-    if config.verify_plans != "strict":
-        return
-    from .verify import verify_dag
-
-    verify_dag(dag, context=f"optimizer pass {dag.rewrites[-1]}")
-
-
-def remove_redundant_combines(dag: Dag) -> List[str]:
-    """Splice out join-mode COMBINE operators with exactly one input;
-    returns the labels of the spliced nodes (rewrite-event provenance)."""
-    removed: List[str] = []
-    for node in list(dag.nodes):
-        if (
-            isinstance(node, CombineOp)
-            and node.mode == "join"
-            and len(node.inputs) == 1
-        ):
-            label = _node_label(dag, node)
-            dag.replace(node, node.inputs[0])
-            removed.append(label)
-    return removed
-
-
-def _buffer_root(node: Lolepop, memo: Dict[int, Optional[Lolepop]]) -> Optional[Lolepop]:
-    """The operator that *owns* the buffer a SORT/WINDOW operates on (buffers
-    flow through SORT and WINDOW unchanged; PARTITION/MERGE create them)."""
-    if id(node) in memo:
-        return memo[id(node)]
-    if isinstance(node, PartitionOp):
-        root: Optional[Lolepop] = node
-    elif isinstance(node, (SortOp, WindowOp)) and node.inputs:
-        root = _buffer_root(node.inputs[0], memo)
-    else:
-        root = node
-    memo[id(node)] = root
-    return root
-
-
-def elide_redundant_sorts(dag: Dag) -> List[str]:
-    """Remove SORT operators whose requirement is a prefix of the buffer's
-    ordering at that point of the (topological) execution order; returns
-    the labels of the elided sorts (rewrite-event provenance)."""
-    memo: Dict[int, Optional[Lolepop]] = {}
-    ordering_state: Dict[int, Tuple] = {}
-    removed: List[str] = []
-    for node in dag.topological_order():
-        if not isinstance(node, SortOp):
-            continue
-        root = _buffer_root(node, memo)
-        if root is None:
-            continue
-        current = ordering_state.get(id(root), ())
-        required = tuple(node.keys)
-        satisfied = len(required) <= len(current) and (
-            tuple(current[: len(required)]) == required
+def _splice(
+    dag: Dag,
+    config: EngineConfig,
+    pass_name: str,
+    doomed: List[NodeFacts],
+    removed: List[int],
+    cost: float,
+) -> float:
+    """Splice every ``doomed`` node out of ``dag`` (each passes its first
+    input through), record the pass, and return the cost after it.
+    ``removed`` collects the walk positions of every node spliced so far:
+    a label's ``#i`` is the node's position once earlier removals are gone."""
+    if not doomed:
+        return cost
+    labels: List[str] = []
+    for entry in doomed:
+        node = entry.node
+        shift = sum(1 for position in removed if position < entry.index)
+        describe = node.describe()
+        labels.append(
+            f"#{entry.index - shift} {node.name()}"
+            + (f" [{describe}]" if describe else "")
         )
-        if satisfied:
-            label = _node_label(dag, node)
-            # Consumers inherit the sort's anti-dependencies.
-            for other in dag.nodes:
-                if node in other.inputs:
-                    other.after.extend(node.after)
-            dag.replace(node, node.inputs[0])
-            removed.append(label)
-        else:
-            ordering_state[id(root)] = required
-    return removed
+        # Consumers inherit the spliced node's anti-dependencies.
+        for other in dag.nodes:
+            if node in other.inputs:
+                other.after.extend(node.after)
+        dag.replace(node, node.inputs[0])
+        removed.append(entry.index)
+    after = cost - sum(entry.cost for entry in doomed)
+    dag.record_rewrite(
+        f"{pass_name} x{len(doomed)}",
+        pass_name=pass_name,
+        detail=f"x{len(doomed)}",
+        nodes=labels,
+        cost_before=cost,
+        cost_after=after,
+    )
+    if config.verify_plans == "strict":
+        verify_dag(dag, context=f"optimizer pass {dag.rewrites[-1].text}")
+    return after

@@ -1,11 +1,26 @@
-"""Static plan verifier: check a LOLEPOP DAG against operator contracts
-*before* executing it.
+"""Static plan verifier and the one property walk every DAG analysis reads.
 
-The verifier never runs a kernel and never touches data. It walks the DAG
-in :meth:`Dag.topological_order` — which is also the execution order of
-both schedulers, so the propagated buffer state at each node is exactly
-the state the node will observe at runtime — and reports three families of
-:class:`Diagnostic`:
+:func:`propagate` walks a LOLEPOP DAG once, in
+:meth:`Dag.topological_order` — which is also the execution order of both
+schedulers, so the propagated buffer state at each node is exactly the
+state the node will observe at runtime — and records per node its
+contract, the owner of the buffer it outputs, the buffer's current derived
+:class:`~repro.lolepop.properties.PhysProps`, the estimated output rows
+and the unit cost (:func:`repro.costmodel.node_cost`). The verifier, the
+optimizer's sort elision and rewrite costing, and EXPLAIN ANALYZE's
+estimates all read these :class:`DagFacts`; none of them walks the DAG on
+its own. The walk never runs a kernel and never touches data.
+
+Buffers are mutated in place (SORT reorders, WINDOW appends columns), so
+the walk tracks the *current* state per buffer root: a consumer placed
+after a re-sort in the topological order sees the re-sorted state. A SORT
+whose input is already ordered with the SORT's keys as a prefix is
+*redundant* and the walk treats it as the identity — the buffer keeps the
+ordering it had, exactly what ``SortOp``'s runtime
+``ordering_satisfies`` check does — so one walk finds every redundant
+SORT, cascades included.
+
+The verifier reports three families of :class:`Diagnostic`:
 
 **Structural** (``no-sink`` / ``cycle`` / ``unreachable`` / ``arity`` /
 ``kind-mismatch`` / ``no-contract`` / ``unrebindable-source``): the DAG is
@@ -17,10 +32,7 @@ templates) every SOURCE can be rebound to a new query.
 its input's partitioning / per-partition ordering / uniqueness / schema
 are met by the properties derived upstream — e.g. ORDAGG over a buffer not
 sorted on its group keys, MERGE over partitions not sorted on the merge
-keys, COMBINE(join) over an input not unique on the group key. Buffers are
-mutated in place (SORT reorders, WINDOW appends columns), so the verifier
-tracks the *current* state per buffer root: a consumer placed after a
-re-sort in the topological order is checked against the re-sorted state.
+keys, COMBINE(join) over an input not unique on the group key.
 
 **Buffer-reuse races** (``race``): for every in-place mutator of a shared
 buffer, every consumer whose result depends on the aspect being mutated
@@ -30,19 +42,31 @@ missing anti-dependency edge — the hardest class of parallel-mode bug —
 becomes a deterministic lint finding instead of a nondeterministic wrong
 result.
 
-Entry points: :func:`check_dag` (collect diagnostics), :func:`verify_dag`
-(raise :class:`~repro.errors.PlanVerificationError`), and
+Entry points: :func:`propagate` (the facts), :func:`check_dag` (collect
+diagnostics), :func:`verify_dag` (raise
+:class:`~repro.errors.PlanVerificationError`), and
 :func:`derive_properties` (best-effort per-node properties for EXPLAIN /
 EXPLAIN ANALYZE).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
+from ..costmodel import DEFAULT_COST_ROWS, node_cost
 from ..errors import PlanError, PlanVerificationError
+from ..logical import Aggregate, Limit, LogicalPlan, Sort, Window
 from .base import Dag, Lolepop, SourceOp
+from .combine_op import CombineOp
+from .hashagg_op import HashAggOp
+from .ordagg_op import OrdAggOp
 from .properties import OperatorContract, PhysProps, contract_of
+from .scan_op import ScanOp
+from .sort_op import SortOp
+
+if TYPE_CHECKING:
+    from ..logical.cardinality import CardinalityEstimator
 
 
 class Diagnostic:
@@ -75,45 +99,118 @@ class Diagnostic:
         return f"Diagnostic({self.code!r}, {self.message!r})"
 
 
-def _buffer_root(
-    node: Lolepop, contracts: Dict[int, Optional[OperatorContract]]
-) -> Optional[Lolepop]:
-    """The node whose execution created the buffer ``node`` outputs, or
-    ``None`` for stream producers (mirrors ``optimizer._buffer_root``)."""
-    contract = contracts.get(id(node))
-    if contract is None:
+@dataclass(slots=True)
+class NodeFacts:
+    """What :func:`propagate` derived for one node."""
+
+    node: Lolepop
+    #: Position in the topological (= execution) order.
+    index: int
+    contract: Optional[OperatorContract]
+    #: The node whose execution created the buffer this node outputs;
+    #: ``None`` for stream producers and contract-less nodes.
+    root: Optional[Lolepop]
+    #: Output properties at the moment the node executes (for a buffer:
+    #: the shared buffer's current state).
+    props: PhysProps
+    #: Estimated output rows; ``None`` without an estimator or when the
+    #: estimate cannot be derived.
+    rows: Optional[float]
+    #: :func:`repro.costmodel.node_cost` at the estimated rows.
+    cost: float
+    #: A SORT whose input is already ordered with its keys as a prefix.
+    redundant: bool = False
+
+
+@dataclass
+class DagFacts:
+    """The result of one :func:`propagate` walk."""
+
+    order: List[Lolepop] = field(default_factory=list)
+    #: ``id(node)`` -> facts, in topological order.
+    nodes: Dict[int, NodeFacts] = field(default_factory=dict)
+    #: Structural and property diagnostics (races and rebindability are
+    #: checked on top of the facts by :func:`check_dag`).
+    diagnostics: List[Diagnostic] = field(default_factory=list)
+
+    @property
+    def total_cost(self) -> float:
+        """Estimated whole-DAG cost: the sum of the per-node unit costs."""
+        return sum(facts.cost for facts in self.nodes.values())
+
+    def props(self) -> Dict[int, PhysProps]:
+        return {key: facts.props for key, facts in self.nodes.items()}
+
+
+def _region_input_plan(plan: Optional[LogicalPlan]) -> Optional[LogicalPlan]:
+    """The logical plan feeding a statistics region's compute operators."""
+    node = plan
+    while isinstance(node, Limit):
+        node = node.child
+    if isinstance(node, (Aggregate, Window, Sort)):
+        return node.child
+    return node
+
+
+def _estimate_rows(
+    node: Lolepop,
+    context: Optional[LogicalPlan],
+    estimator: CardinalityEstimator,
+    known: Dict[int, NodeFacts],
+) -> Optional[float]:
+    """Estimated output rows of ``node``, mirroring how each operator
+    transforms cardinality: SOURCE estimates its relational pipeline,
+    HASHAGG/ORDAGG estimate group counts against the region's input plan,
+    COMBINE takes the max (join mode) or sum (union mode) of its inputs,
+    SCAN caps at its LIMIT, and buffer movers (PARTITION / SORT / MERGE /
+    WINDOW) pass their input estimate through."""
+
+    def rows_of(dep: Lolepop) -> Optional[float]:
+        dep_facts = known.get(id(dep))
+        return None if dep_facts is None else dep_facts.rows
+
+    try:
+        if isinstance(node, SourceOp):
+            return estimator.rows(node.plan) if node.plan is not None else None
+        if isinstance(node, (HashAggOp, OrdAggOp)):
+            if context is None:
+                return None
+            return estimator.group_count(context, node.key_names)
+        if isinstance(node, CombineOp):
+            estimates = [rows_of(dep) for dep in node.inputs]
+            present = [rows for rows in estimates if rows is not None]
+            if not present:
+                return None
+            return sum(present) if node.mode == "union" else max(present)
+        estimate = rows_of(node.inputs[0]) if node.inputs else None
+        if isinstance(node, ScanOp) and estimate is not None and node.limit is not None:
+            return float(min(estimate, node.limit))
+        return estimate
+    except Exception:  # noqa: BLE001 — estimation is best-effort
         return None
-    if contract.buffer_role == "creates":
-        return node
-    if contract.buffer_role == "forwards" and node.inputs:
-        return _buffer_root(node.inputs[0], contracts)
-    return None
 
 
-def check_dag(
-    dag: Dag, require_rebindable: bool = False
-) -> Tuple[List[Diagnostic], Dict[int, PhysProps]]:
-    """Verify ``dag``; return ``(diagnostics, properties)`` where
-    ``properties`` maps ``id(node)`` to the node's derived
-    :class:`~repro.lolepop.properties.PhysProps` (the state of its output
-    at the moment the node executes).
+def _cost_rows(rows: Optional[float]) -> float:
+    return DEFAULT_COST_ROWS if rows is None else max(1.0, float(rows))
 
-    Never raises for an invalid plan — invalidity is reported as
-    diagnostics — and never executes any operator.
-    """
-    diagnostics: List[Diagnostic] = []
-    props: Dict[int, PhysProps] = {}
 
+def propagate(
+    dag: Dag, estimator: Optional[CardinalityEstimator] = None
+) -> DagFacts:
+    """Walk ``dag`` once in topological order and return its
+    :class:`DagFacts`. Never raises for an invalid plan — invalidity is
+    reported as diagnostics — and never executes any operator."""
+    facts = DagFacts()
+    diagnostics = facts.diagnostics
     if dag.sink is None:
         diagnostics.append(Diagnostic("no-sink", None, "DAG has no sink"))
-        return diagnostics, props
+        return facts
     try:
         order = dag.topological_order()
     except PlanError as exc:
-        diagnostics.append(
-            Diagnostic("cycle", None, f"not a DAG: {exc}")
-        )
-        return diagnostics, props
+        diagnostics.append(Diagnostic("cycle", None, f"not a DAG: {exc}"))
+        return facts
+    facts.order = order
 
     reachable = {id(node) for node in order}
     for node in dag.nodes:
@@ -127,28 +224,42 @@ def check_dag(
                 )
             )
 
-    # Resolve every node's contract up front (needed for buffer roots).
-    contracts: Dict[int, Optional[OperatorContract]] = {}
-    for node in order:
-        try:
-            contracts[id(node)] = contract_of(node)
-        except PlanError as exc:
-            contracts[id(node)] = None
-            diagnostics.append(Diagnostic("no-contract", node, str(exc)))
-
-    # ------------------------------------------------------------------
-    # Property propagation in execution order, tracking the current state
-    # of every shared buffer (its root's latest derived properties).
-    # ------------------------------------------------------------------
-    root_of = {id(node): _buffer_root(node, contracts) for node in order}
+    context = (
+        _region_input_plan(dag.region_plan) if estimator is not None else None
+    )
+    known = facts.nodes
+    #: id(buffer root) -> the shared buffer's current properties.
     root_state: Dict[int, PhysProps] = {}
-
-    for node in order:
-        contract = contracts[id(node)]
+    for index, node in enumerate(order):
+        rows = (
+            _estimate_rows(node, context, estimator, known)
+            if estimator is not None
+            else None
+        )
+        contract: Optional[OperatorContract]
+        try:
+            contract = contract_of(node)
+        except PlanError as exc:
+            contract = None
+            diagnostics.append(Diagnostic("no-contract", node, str(exc)))
+        first = known.get(id(node.inputs[0])) if node.inputs else None
+        cost = node_cost(
+            contract.name if contract is not None else type(node).__name__,
+            _cost_rows(rows),
+            _cost_rows(first.rows if first else None) if node.inputs else None,
+        )
         if contract is None:
             declared = getattr(node, "produces", "stream")
-            props[id(node)] = PhysProps(
-                declared if declared in ("stream", "buffer") else "stream"
+            known[id(node)] = NodeFacts(
+                node,
+                index,
+                None,
+                None,
+                PhysProps(
+                    declared if declared in ("stream", "buffer") else "stream"
+                ),
+                rows,
+                cost,
             )
             continue
 
@@ -173,8 +284,8 @@ def check_dag(
 
         ins: List[PhysProps] = []
         for dep in node.inputs:
-            dep_props = props.get(id(dep))
-            if dep_props is None:  # dangling input, not part of the DAG
+            dep_facts = known.get(id(dep))
+            if dep_facts is None:  # dangling input, not part of the DAG
                 diagnostics.append(
                     Diagnostic(
                         "unreachable",
@@ -183,6 +294,8 @@ def check_dag(
                     )
                 )
                 dep_props = PhysProps("stream")
+            else:
+                dep_props = dep_facts.props
             if contract.consumes and dep_props.kind not in contract.consumes:
                 diagnostics.append(
                     Diagnostic(
@@ -193,20 +306,49 @@ def check_dag(
                         f"produces a {dep_props.kind}",
                     )
                 )
-            if dep_props.kind == "buffer":
-                root = root_of.get(id(dep))
-                if root is not None and id(root) in root_state:
-                    dep_props = root_state[id(root)]
+            if dep_props.kind == "buffer" and dep_facts is not None:
+                dep_root = dep_facts.root
+                if dep_root is not None and id(dep_root) in root_state:
+                    dep_props = root_state[id(dep_root)]
             ins.append(dep_props)
 
         for message in contract.requires(node, ins):
             diagnostics.append(Diagnostic("property", node, message))
-        derived = contract.derive(node, ins)
-        props[id(node)] = derived
-        if derived.kind == "buffer":
-            root = root_of.get(id(node))
-            if root is not None:
-                root_state[id(root)] = derived
+        redundant = (
+            isinstance(node, SortOp)
+            and bool(ins)
+            and ins[0].kind == "buffer"
+            and ins[0].ordering_satisfies(node.keys)
+        )
+        derived = ins[0] if redundant else contract.derive(node, ins)
+        root: Optional[Lolepop] = None
+        if contract.buffer_role == "creates":
+            root = node
+        elif contract.buffer_role == "forwards" and first is not None:
+            root = first.root
+        known[id(node)] = NodeFacts(
+            node, index, contract, root, derived, rows, cost, redundant
+        )
+        if derived.kind == "buffer" and root is not None:
+            root_state[id(root)] = derived
+    return facts
+
+
+def check_dag(
+    dag: Dag, require_rebindable: bool = False
+) -> Tuple[List[Diagnostic], Dict[int, PhysProps]]:
+    """Verify ``dag``; return ``(diagnostics, properties)`` where
+    ``properties`` maps ``id(node)`` to the node's derived
+    :class:`~repro.lolepop.properties.PhysProps` (the state of its output
+    at the moment the node executes).
+
+    Never raises for an invalid plan — invalidity is reported as
+    diagnostics — and never executes any operator.
+    """
+    facts = propagate(dag)
+    diagnostics = list(facts.diagnostics)
+    order = facts.order
+    known = facts.nodes
 
     # ------------------------------------------------------------------
     # Buffer-reuse races: every (in-place mutator, affected consumer) pair
@@ -223,15 +365,15 @@ def check_dag(
     consumers: Dict[int, List[Lolepop]] = {}
     mutators: Dict[int, List[Lolepop]] = {}
     for node in order:
-        contract = contracts[id(node)]
+        contract = known[id(node)].contract
         if contract is None:
             continue
         seen_roots: Set[int] = set()
         for dep in node.inputs:
-            dep_props = props.get(id(dep))
-            if dep_props is None or dep_props.kind != "buffer":
+            dep_facts = known.get(id(dep))
+            if dep_facts is None or dep_facts.props.kind != "buffer":
                 continue
-            root = root_of.get(id(dep))
+            root = dep_facts.root
             if root is None or id(root) in seen_roots:
                 continue
             seen_roots.add(id(root))
@@ -239,18 +381,18 @@ def check_dag(
             if contract.mutation_effect is not None:
                 mutators.setdefault(id(root), []).append(node)
 
-    ids = {id(node): i for i, node in enumerate(order)}
     for root_id, muts in mutators.items():
         for mutator in muts:
             # A node only lands in ``mutators`` when its contract resolved
             # (the walk above skips contract-less nodes).
-            mutator_contract = contracts[id(mutator)]
+            mutator_facts = known[id(mutator)]
+            mutator_contract = mutator_facts.contract
             assert mutator_contract is not None
             effect = mutator_contract.mutation_effect
             for consumer in consumers.get(root_id, []):
                 if consumer is mutator:
                     continue
-                contract = contracts[id(consumer)]
+                contract = known[id(consumer)].contract
                 if contract is None:
                     continue
                 if effect == "order":
@@ -271,7 +413,7 @@ def check_dag(
                             "race",
                             consumer,
                             f"reads a shared buffer that "
-                            f"#{ids[id(mutator)]} "
+                            f"#{mutator_facts.index} "
                             f"{mutator_contract.name} mutates in "
                             f"place ({effect}), but no data/after edge "
                             f"orders the two — add an anti-dependency "
@@ -297,7 +439,7 @@ def check_dag(
                     )
                 )
 
-    return diagnostics, props
+    return diagnostics, facts.props()
 
 
 def verify_dag(
@@ -337,7 +479,6 @@ def derive_properties(dag: Dag) -> Dict[int, PhysProps]:
     """Best-effort per-node properties for EXPLAIN rendering: never raises,
     returns an empty mapping when the DAG cannot be analyzed."""
     try:
-        _, props = check_dag(dag)
-        return props
+        return propagate(dag).props()
     except Exception:
         return {}

@@ -32,7 +32,7 @@ from .metrics import (
     QueryProfile,
 )
 from .chrome import chrome_trace_events, validate_trace_events, write_chrome_trace
-from .analyze import estimate_dag_rows, render_analyze
+from .analyze import render_analyze
 from .events import EVENT_KINDS, FlightRecorder, TelemetryEvent
 from .workload import TemplateStats, WorkloadStats, plan_fingerprint
 from .telemetry import (
@@ -56,7 +56,6 @@ __all__ = [
     "chrome_trace_events",
     "validate_trace_events",
     "write_chrome_trace",
-    "estimate_dag_rows",
     "render_analyze",
     "EVENT_KINDS",
     "FlightRecorder",

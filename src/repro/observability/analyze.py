@@ -1,13 +1,10 @@
 """EXPLAIN ANALYZE rendering: the executed LOLEPOP DAG annotated with
 actual vs. estimated cardinalities and per-operator time share.
 
-Estimates walk each DAG with simple propagation rules mirroring how the
-operators transform cardinality (the DAG-level analogue of
-:class:`~repro.logical.cardinality.CardinalityEstimator`'s plan rules):
-SOURCE nodes estimate their relational pipeline, HASHAGG/ORDAGG estimate
-group counts against the region's input plan, buffer movers (PARTITION /
-SORT / MERGE / WINDOW / SCAN) pass their input estimate through, COMBINE
-takes the max (join mode) or sum (union mode) of its inputs.
+Estimates and derived properties come from one
+:func:`~repro.lolepop.verify.propagate` walk per DAG (the DAG-level
+analogue of :class:`~repro.logical.cardinality.CardinalityEstimator`'s
+plan rules).
 
 The Q-error of a node is ``max(est/actual, actual/est)`` (both clamped to
 one row) — the standard estimate-quality measure; the summary line reports
@@ -18,79 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..logical import Aggregate, Limit, LogicalPlan, Sort, Window
-from ..lolepop.base import Dag, SourceOp
-from ..lolepop.combine_op import CombineOp
-from ..lolepop.hashagg_op import HashAggOp
-from ..lolepop.merge_op import MergeOp
-from ..lolepop.ordagg_op import OrdAggOp
-from ..lolepop.partition_op import PartitionOp
-from ..lolepop.scan_op import ScanOp
-from ..lolepop.sort_op import SortOp
-from ..lolepop.window_op import WindowOp
+from ..lolepop.verify import propagate
 
 
-def _region_input_plan(plan: Optional[LogicalPlan]) -> Optional[LogicalPlan]:
-    """The logical plan feeding a statistics region's compute operators."""
-    node = plan
-    while isinstance(node, Limit):
-        node = node.child
-    if isinstance(node, (Aggregate, Window, Sort)):
-        return node.child
-    return node
-
-
-def estimate_dag_rows(dag: Dag, estimator) -> Dict[int, Optional[float]]:
-    """Estimated output rows per DAG node, keyed by ``id(node)``.
-
-    ``estimator`` is a
-    :class:`~repro.logical.cardinality.CardinalityEstimator`; nodes whose
-    estimate cannot be derived map to ``None``.
-    """
-    context = _region_input_plan(getattr(dag, "region_plan", None))
-    estimates: Dict[int, Optional[float]] = {}
-    for node in dag.topological_order():
-        estimates[id(node)] = _estimate_node(node, context, estimator, estimates)
-    return estimates
-
-
-def _estimate_node(node, context, estimator, estimates) -> Optional[float]:
-    def input_estimate() -> Optional[float]:
-        if not node.inputs:
-            return None
-        return estimates.get(id(node.inputs[0]))
-
-    try:
-        if isinstance(node, SourceOp):
-            plan = getattr(node, "plan", None)
-            return estimator.rows(plan) if plan is not None else None
-        if isinstance(node, HashAggOp):
-            if context is None:
-                return None
-            return estimator.group_count(context, node.key_names)
-        if isinstance(node, OrdAggOp):
-            if context is None:
-                return None
-            return estimator.group_count(context, node.key_names)
-        if isinstance(node, CombineOp):
-            inputs = [estimates.get(id(i)) for i in node.inputs]
-            known = [e for e in inputs if e is not None]
-            if not known:
-                return None
-            return sum(known) if node.mode == "union" else max(known)
-        if isinstance(node, ScanOp):
-            estimate = input_estimate()
-            if estimate is not None and node.limit is not None:
-                estimate = float(min(estimate, node.limit))
-            return estimate
-        if isinstance(node, (PartitionOp, SortOp, MergeOp, WindowOp)):
-            return input_estimate()
-    except Exception:
-        return None
-    return input_estimate()
-
-
-def q_error(estimate: Optional[float], actual: int) -> Optional[float]:
+def q_error(estimate: Optional[float], actual: float) -> Optional[float]:
     """max(est/actual, actual/est), both sides clamped to >= 1 row."""
     if estimate is None:
         return None
@@ -108,12 +36,11 @@ def profile_max_q_error(profile, estimator) -> Optional[float]:
     """
     worst: Optional[float] = None
     for dag in profile.dags:
-        estimates = estimate_dag_rows(dag, estimator)
-        for node in dag.topological_order():
-            stats = getattr(node, "stats", None)
+        for facts in propagate(dag, estimator).nodes.values():
+            stats = getattr(facts.node, "stats", None)
             if stats is None:
                 continue
-            node_q = q_error(estimates.get(id(node)), stats.rows_out)
+            node_q = q_error(facts.rows, stats.rows_out)
             if node_q is not None and (worst is None or node_q > worst):
                 worst = node_q
     return worst
@@ -210,17 +137,14 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
     total_time = profile.total_operator_time() or 1.0
     worst: Optional[tuple] = None  # (q, label)
     for dag_index, dag in enumerate(profile.dags):
-        from ..lolepop.verify import derive_properties
-
-        estimates = estimate_dag_rows(dag, estimator)
-        derived = derive_properties(dag)
-        order = dag.topological_order()
-        ids = {id(node): i for i, node in enumerate(order)}
+        facts = propagate(dag, estimator)
+        ids = {key: node_facts.index for key, node_facts in facts.nodes.items()}
         if len(profile.dags) > 1:
             lines.append(f"-- region {dag_index} --")
-        for node in order:
+        for node_facts in facts.nodes.values():
+            node = node_facts.node
             stats = getattr(node, "stats", None)
-            estimate = estimates.get(id(node))
+            estimate = node_facts.rows
             deps = ",".join(f"#{ids[id(i)]}" for i in node.inputs)
             describe = f" [{node.describe()}]" if node.describe() else ""
             head = f"#{ids[id(node)]} {node.name()}{describe}"
@@ -256,8 +180,7 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
                 )
             for key, value in sorted(stats.extra.items()):
                 parts.append(f"{key}={value}")
-            props = derived.get(id(node))
-            note = props.render() if props is not None else ""
+            note = node_facts.props.render()
             if note:
                 parts.append("{" + note + "}")
             lines.append(head + "  " + " ".join(parts))
@@ -268,7 +191,7 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
         lines.append("max Q-error: n/a (no estimates)")
 
     reuse_total = sum(
-        1 for entry in profile.rewrites if entry.startswith("buffer-reuse")
+        1 for entry in profile.rewrites if entry.pass_name == "buffer-reuse"
     )
     elide_total = sum(
         stats.sort_elisions for *_rest, stats in profile.operator_stats()
@@ -282,8 +205,8 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
     if profile.rewrites:
         lines.append("rewrites:")
         for entry in profile.rewrites:
-            cost = entry.render_cost() if hasattr(entry, "render_cost") else ""
-            lines.append(f"  {entry}" + (f"  {cost}" if cost else ""))
+            cost = entry.render_cost()
+            lines.append(f"  {entry.text}" + (f"  {cost}" if cost else ""))
     skew_lines = render_morsel_skew(result.trace)
     if skew_lines:
         lines.append("morsel skew (top phases):")

@@ -35,6 +35,8 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
+from .analyze import q_error
+
 __all__ = [
     "SCHEMA_VERSION",
     "FeedbackStore",
@@ -99,19 +101,19 @@ def profile_observations(profile, estimator) -> List[dict]:
     into feedback observations: one dict per DAG node carrying stats, with
     the operator's position (counted across all region DAGs), its estimate
     under ``estimator``, its actuals, and the resource-ledger fields."""
-    from .analyze import _region_input_plan, estimate_dag_rows
+    from ..lolepop.verify import _region_input_plan, propagate
 
     observations: List[dict] = []
     position = 0
     for dag in profile.dags:
-        estimates = estimate_dag_rows(dag, estimator)
-        context = _region_input_plan(getattr(dag, "region_plan", None))
-        for node in dag.topological_order():
+        context = _region_input_plan(dag.region_plan)
+        for facts in propagate(dag, estimator).nodes.values():
+            node = facts.node
             stats = getattr(node, "stats", None)
             position += 1
             if stats is None:
                 continue
-            estimate = estimates.get(id(node))
+            estimate = facts.rows
             observations.append(
                 {
                     "position": position - 1,
@@ -144,14 +146,6 @@ def root_observation(plan, est_rows: Optional[float], actual_rows: int) -> dict:
         "spill_bytes_written": 0,
         "peak_partition_bytes": 0,
     }
-
-
-def _q_error(est: Optional[float], actual: float) -> Optional[float]:
-    if est is None:
-        return None
-    est = max(1.0, float(est))
-    actual = max(1.0, float(actual))
-    return max(est / actual, actual / est)
 
 
 class _OperatorFeedback:
@@ -204,7 +198,7 @@ class _OperatorFeedback:
 
     @property
     def q_error(self) -> Optional[float]:
-        return _q_error(self.est_rows, self.actual_rows)
+        return q_error(self.est_rows, self.actual_rows)
 
     def to_dict(self) -> dict:
         out: dict = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -28,6 +29,9 @@ from typing import (
     TypeVar,
     Union,
 )
+
+if TYPE_CHECKING:
+    from ..lolepop.base import RewriteEvent
 
 __all__ = [
     "Counter",
@@ -336,7 +340,7 @@ class QueryProfile:
         #: submitting thread, after region barriers).
         self.counters: Dict[str, float] = {}
         #: Optimizer / translator rewrite log across all executed DAGs.
-        self.rewrites: List[str] = []
+        self.rewrites: List["RewriteEvent"] = []
         #: Executed DAGs in construction order (nodes carry their stats).
         #: ``Any`` (not ``object``): the DAG type lives in ``repro.lolepop``
         #: and importing it here would cycle.
@@ -379,8 +383,8 @@ class QueryProfile:
             "serial_time_s": self.serial_time,
             "makespan_s": self.makespan,
             "counters": dict(self.counters),
-            "rewrites": [str(entry) for entry in self.rewrites],
-            "rewrite_events": _rewrite_events_to_dicts(self.rewrites),
+            "rewrites": [entry.text for entry in self.rewrites],
+            "rewrite_events": [entry.to_dict() for entry in self.rewrites],
             "dags": [
                 {
                     "index": dag_index,
@@ -404,9 +408,3 @@ class QueryProfile:
 
             payload["trace_events"] = chrome_trace_events(trace)
         return payload
-
-
-def _rewrite_events_to_dicts(rewrites: List[str]) -> List[Dict[str, object]]:
-    from .provenance import rewrite_events_to_dicts
-
-    return rewrite_events_to_dicts(rewrites)

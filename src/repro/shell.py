@@ -318,7 +318,7 @@ class Shell:
                     f"wall={stats.wall_time * 1000:.3f} ms"
                 )
             for entry in result.profile.rewrites:
-                self.write(f"  rewrite: {entry}")
+                self.write(f"  rewrite: {entry.text}")
 
     def _trace(self, argument: str) -> None:
         path, sql = self._split_json_target(argument)

@@ -93,6 +93,19 @@ class TestComparisons:
         expr = BinaryOp("like", col("s"), lit("_y"))
         assert both_ways(expr, ROWS)[0] is True
 
+    def test_like_pattern_cache_is_bounded(self):
+        from repro.expr.eval import _like_regex
+
+        for i in range(2000):
+            assert _like_regex(f"p{i}_%").match(f"p{i}x-tail")
+            assert not _like_regex(f"p{i}_%").match(f"q{i}x")
+        assert _like_regex.cache_info().currsize <= 256
+        # Patterns evicted long ago still compile and match correctly.
+        assert _like_regex("p0_%").match("p0xy")
+        assert not _like_regex("p0_%").match("p0")
+        expr = BinaryOp("like", col("s"), lit("a%"))
+        assert both_ways(expr, ROWS) == [False, False, True]
+
 
 class TestLogic:
     def test_kleene_and(self):

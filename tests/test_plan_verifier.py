@@ -11,6 +11,11 @@ aggregates, and checks both directions of the verifier's contract:
   COMBINE that lost its uniqueness keys) are each detected with the right
   diagnostic code on every plan the corruption structurally applies to.
 
+The same sweeps check the optimizer that reads the verifier's property
+walk: no optimized plan keeps a SORT its buffer ordering already
+satisfies, and every optimizer rewrite's cost delta is minus the unit cost
+of the nodes it removed.
+
 Each corruption translates a *fresh* DAG (``Dag.clone`` shares parameter
 lists, so mutating a clone would corrupt the original's operators too).
 """
@@ -23,7 +28,9 @@ import random
 import pytest
 
 from repro import Database, EngineConfig
+from repro.costmodel import DEFAULT_COST_ROWS, node_cost
 from repro.errors import ExecutionError, PlanError, PlanVerificationError
+from repro.execution.context import ExecutionContext
 from repro.lolepop import (
     assert_all_registered,
     check_dag,
@@ -31,7 +38,8 @@ from repro.lolepop import (
     operator_name,
     registered_contracts,
 )
-from repro.lolepop.base import Lolepop, SourceOp
+from repro.lolepop import optimizer
+from repro.lolepop.base import Dag, Lolepop, SourceOp
 from repro.lolepop.combine_op import CombineOp
 from repro.lolepop.engine import statistics_region
 from repro.lolepop.merge_op import MergeOp
@@ -39,9 +47,12 @@ from repro.lolepop.ordagg_op import OrdAggOp
 from repro.lolepop.partition_op import PartitionOp
 from repro.lolepop.sort_op import SortOp
 from repro.lolepop.translate import translate_statistics
-from repro.lolepop.verify import _buffer_root
+from repro.lolepop.scan_op import ScanOp
+from repro.lolepop.verify import propagate
 from repro.lolepop.window_op import WindowOp
 from repro.server.cache import PreparedPlan
+from repro.storage import Batch
+from repro.types import Schema
 from repro.tpch import TPCH_QUERIES
 
 from tests.test_parallel_property import SEED, _make_db, _plans
@@ -67,12 +78,9 @@ def corpus_db() -> Database:
     return _make_db(random.Random(SEED))
 
 
-def _config(parallel: bool, verify: str = "off") -> EngineConfig:
-    extra = (
-        dict(num_threads=4, num_partitions=8, execution_mode="parallel")
-        if parallel
-        else {}
-    )
+def _config(parallel: bool, verify: str = "off", **extra) -> EngineConfig:
+    if parallel:
+        extra.update(num_threads=4, num_partitions=8, execution_mode="parallel")
     return EngineConfig(verify_plans=verify, **extra)
 
 
@@ -89,6 +97,72 @@ def _codes(dag):
     return diagnostics, {d.code for d in diagnostics}
 
 
+def _satisfied_sorts(dag):
+    """SORTs whose buffer already carries their keys as a prefix at that
+    point of the execution order — an independent simulation (buffers
+    flow through SORT and WINDOW unchanged; a satisfied SORT leaves the
+    ordering as it was). An optimized plan must contain none."""
+    ordering = {}
+    found = []
+    for node in dag.topological_order():
+        if not isinstance(node, SortOp):
+            continue
+        root = node
+        while isinstance(root, (SortOp, WindowOp)) and root.inputs:
+            root = root.inputs[0]
+        keys = tuple(node.keys)
+        if ordering.get(id(root), ())[: len(keys)] == keys:
+            found.append(node)
+        else:
+            ordering[id(root)] = keys
+    return found
+
+
+def _assert_no_redundant_sort(dag):
+    assert not _satisfied_sorts(dag), dag.explain()
+    assert not any(f.redundant for f in propagate(dag).nodes.values())
+
+
+_OPTIMIZER_PASSES = {
+    "elide_redundant_sorts": "SORT",
+    "remove_redundant_combines": "COMBINE",
+}
+
+
+def _assert_rewrite_costs(db, sql, parallel):
+    """Translate with the optimizer passes off, then run them: each event's
+    cost delta is minus the summed ``node_cost`` of the nodes it removed,
+    and the final cost is what a fresh walk of the optimized DAG prices."""
+    region = statistics_region(db.plan(sql))
+    if region is None:
+        return
+    config = _config(
+        parallel, elide_sorts=False, remove_redundant_combines=False
+    )
+    dag = translate_statistics(region, lambda p: [], config)
+    before = list(propagate(dag).order)
+    optimizer.optimize(dag, _config(parallel, "strict"))
+    kept = {id(node) for node in dag.topological_order()}
+    events = [e for e in dag.rewrites if e.pass_name in _OPTIMIZER_PASSES]
+    for event in events:
+        removed = [
+            node
+            for node in before
+            if id(node) not in kept
+            and node.name() == _OPTIMIZER_PASSES[event.pass_name]
+        ]
+        assert len(removed) == len(event.nodes)
+        expected = -sum(
+            node_cost(node.name(), DEFAULT_COST_ROWS, DEFAULT_COST_ROWS)
+            for node in removed
+        )
+        assert event.cost_after - event.cost_before == pytest.approx(expected)
+    if events:
+        assert events[-1].cost_after == pytest.approx(
+            propagate(dag).total_cost
+        )
+
+
 # ---------------------------------------------------------------------------
 # Zero false positives: every generated plan verifies clean as translated.
 # ---------------------------------------------------------------------------
@@ -103,6 +177,8 @@ def test_uncorrupted_corpus_verifies_clean(corpus_db, case, parallel):
         f"false positive on: {case[1]}\n"
         + "\n".join(d.render({}) for d in diagnostics)
     )
+    _assert_no_redundant_sort(dag)
+    _assert_rewrite_costs(corpus_db, case[1], parallel)
 
 
 @pytest.mark.parametrize("sql", MULTI_ORDERING_PLANS)
@@ -133,9 +209,10 @@ def _race_would_open(dag) -> bool:
     in-place mutator share a buffer with an affected consumer such that
     only ``after`` edges order the two?"""
     order = dag.topological_order()
-    contracts = {id(n): contract_of(n) for n in order}
-    _, props = check_dag(dag)
-    roots = {id(n): _buffer_root(n, contracts) for n in order}
+    facts = propagate(dag).nodes
+    contracts = {key: f.contract for key, f in facts.items()}
+    props = {key: f.props for key, f in facts.items()}
+    roots = {key: f.root for key, f in facts.items()}
     ancestors = _input_ancestors(dag)
 
     def buffer_roots(node):
@@ -388,6 +465,8 @@ def test_tpch_queries_verify_strict(tpch_db, qid, parallel):
     )
     diagnostics, _ = check_dag(dag, require_rebindable=True)
     assert not diagnostics, [d.render({}) for d in diagnostics]
+    _assert_no_redundant_sort(dag)
+    _assert_rewrite_costs(tpch_db, TPCH_QUERIES[qid], parallel)
 
 
 def test_tpch_strict_execution_through_plan_cache(tpch_db):
@@ -395,3 +474,44 @@ def test_tpch_strict_execution_through_plan_cache(tpch_db):
     first = tpch_db.sql(TPCH_QUERIES["q1"], config=config).rows()
     again = tpch_db.sql(TPCH_QUERIES["q1"], config=config).rows()
     assert first == again
+
+
+# ---------------------------------------------------------------------------
+# Sort-elision cascade: a SORT the walk finds redundant is the identity, so
+# PARTITION -> SORT(a,b) -> SORT(a) -> SORT(a,b) loses both later SORTs in
+# one optimize() call, and the plan still returns rows ordered on (a,b).
+# ---------------------------------------------------------------------------
+def test_sort_elision_cascade_in_one_pass():
+    schema = Schema.of(("a", "int64"), ("b", "int64"))
+    batch = Batch.from_pydict(
+        schema, {"a": [2, 1, 2, 1, 3], "b": [5, 9, 1, 4, 0]}
+    )
+
+    def build():
+        dag = Dag()
+        source = SourceOp(lambda: [batch])
+        buffer = PartitionOp(source, keys=(), num_partitions=1)
+        ab = SortOp(buffer, [("a", False), ("b", False)])
+        a = SortOp(ab, [("a", False)])
+        again = SortOp(a, [("a", False), ("b", False)])
+        dag.set_sink(ScanOp(again))
+        return dag
+
+    dag = build()
+    optimizer.optimize(dag, EngineConfig())
+    assert dag.operator_names() == ["SOURCE", "PARTITION", "SORT", "SCAN"]
+    (event,) = dag.rewrites
+    assert event.pass_name == "elide_redundant_sorts"
+    assert event.nodes == ("#3 SORT [a]", "#3 SORT [a,b]")
+    assert event.cost_delta == pytest.approx(
+        -2 * node_cost("SORT", DEFAULT_COST_ROWS)
+    )
+    assert not check_dag(dag)[0]
+
+    def rows(plan):
+        out = plan.execute(ExecutionContext(EngineConfig()))
+        return [row for b in out for row in b.rows()]
+
+    assert rows(dag) == rows(build()) == [
+        (1, 4), (1, 9), (2, 1), (2, 5), (3, 0),
+    ]

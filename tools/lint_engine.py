@@ -31,13 +31,6 @@ R4  unregistered-operator — every ``Lolepop`` subclass in the source tree
     same invariant ``assert_all_registered`` enforces at import time,
     checked here without importing anything).
 
-R5  stringly-rewrite — nobody may append a plain string (literal,
-    f-string, or string concatenation) directly to ``Dag.rewrites``. The
-    optimizer provenance machinery (EXPLAIN ANALYZE cost deltas, profile
-    ``rewrite_events``, plan_diff attribution) only works when every entry
-    is a :class:`~repro.observability.provenance.RewriteEvent`; use
-    ``dag.record_rewrite(...)`` which builds one.
-
 Exit status 1 when any rule fires; findings print as
 ``path:line: [rule] message``.
 """
@@ -477,47 +470,6 @@ def check_registry(
 
 
 # ----------------------------------------------------------------------
-# R5: plain strings appended to Dag.rewrites (bypasses provenance)
-# ----------------------------------------------------------------------
-def _is_stringish(expr: ast.expr) -> bool:
-    """Literal string, f-string, or an expression concatenating them —
-    i.e. something that can only ever be a plain ``str``, never a
-    ``RewriteEvent``."""
-    if isinstance(expr, ast.Constant):
-        return isinstance(expr.value, str)
-    if isinstance(expr, ast.JoinedStr):
-        return True
-    if isinstance(expr, ast.BinOp):
-        return _is_stringish(expr.left) or _is_stringish(expr.right)
-    return False
-
-
-def check_stringly_rewrites(
-    path: Path, tree: ast.Module, findings: List[Finding]
-) -> None:
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "rewrites"
-            and node.args
-            and _is_stringish(node.args[0])
-        ):
-            continue
-        findings.append(
-            Finding(
-                path,
-                node.lineno,
-                "stringly-rewrite",
-                "plain string appended to Dag.rewrites loses optimizer "
-                "provenance; call dag.record_rewrite(...) instead",
-            )
-        )
-
-
-# ----------------------------------------------------------------------
 def lint(root: Path) -> List[Finding]:
     trees: Dict[Path, ast.Module] = {}
     for path in sorted(root.rglob("*.py")):
@@ -528,7 +480,6 @@ def lint(root: Path) -> List[Finding]:
     mutating_methods = resolve_mutating_methods(trees)
     for path, tree in trees.items():
         check_unlocked_metrics(path, tree, findings)
-        check_stringly_rewrites(path, tree, findings)
         for cls in iter_classes(tree):
             if "Lolepop" not in base_names(cls) and cls.name != "SourceOp":
                 continue
